@@ -140,27 +140,49 @@ fn bench_special_functions() {
     });
 }
 
+/// The near field of one rank of the `md-p2nfft-bm` workload: the
+/// 16-cell paper-like crystal (L = 248, 4096 ions) on a 4x4x4 grid, rank 0's
+/// 62-wide subdomain with its 64 owned ions, every ion within the cutoff
+/// (43.4) of it as a ghost — 670, most of them reached through the periodic
+/// boundary and stored as in-box coordinates — and the soft core on. The
+/// solver's ghost plan adds a thin skin on top (about 740 ghosts per rank in
+/// the MD run).
 fn bench_near_field() {
-    let bbox = particles::SystemBox::cubic(10.0);
-    let gas = particles::RandomGas { n: 2000, bbox, seed: 5 };
-    let mut pos = Vec::new();
-    let mut charge = Vec::new();
-    for i in 0..2000u64 {
-        let (x, q) = particles::distributions::ParticleSource::particle(&gas, i);
-        pos.push(x);
-        charge.push(q);
+    use particles::{IonicCrystal, SoftCore, Vec3};
+    let crystal = IonicCrystal::paper_like(16, 1);
+    let bbox = crystal.system_box();
+    let cfg = pmsolver::PmConfig::tuned(&bbox, 1e-2, 43.4);
+    let rcut = cfg.rcut;
+    let (lo, hi) = (Vec3::ZERO, Vec3::splat(62.0));
+    let center = (lo + hi) * 0.5;
+    let (mut pos, mut charge, mut gpos, mut gcharge) = (vec![], vec![], vec![], vec![]);
+    for id in 0..crystal.n() as u64 {
+        let (x, q) = crystal.particle(id);
+        if (0..3).all(|d| x[d] >= lo[d] && x[d] < hi[d]) {
+            pos.push(x);
+            charge.push(q);
+            continue;
+        }
+        let rel = bbox.min_image(x, center);
+        let out2: f64 = (0..3).map(|d| (rel[d].abs() - 31.0).max(0.0).powi(2)).sum();
+        if out2 <= rcut * rcut {
+            gpos.push(x);
+            gcharge.push(q);
+        }
     }
-    bench_case("near_field", "linked_cell_2000_rcut1.5", || {
+    let soft_core = Some(SoftCore::for_spacing(crystal.spacing));
+    let case = format!("p2nfft_bm_rank0/{}owned_{}ghosts", pos.len(), gpos.len());
+    bench_case("near_field", &case, || {
         let (p, _, pairs) = pmsolver::near_field(
             &bbox,
-            1.0,
-            1.5,
-            None,
-            (particles::Vec3::ZERO, particles::Vec3::splat(10.0)),
+            cfg.alpha,
+            rcut,
+            soft_core,
+            (lo, hi),
             &pos,
             &charge,
-            &[],
-            &[],
+            &gpos,
+            &gcharge,
         );
         black_box((p[0], pairs))
     });

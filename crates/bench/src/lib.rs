@@ -326,7 +326,9 @@ pub fn record_run<R>(
     timeline: &mut TimelineSink,
 ) {
     let mut entry = RunEntry::from_run(&out);
-    if !out.traces.is_empty() {
+    // An untraced world still returns one (empty) trace per rank; only a
+    // traced one has a critical path to attach.
+    if out.traces.iter().any(|t| !t.spans.is_empty()) {
         attach_analysis(&mut entry, &out.traces);
     }
     timeline.push(label.clone(), out.traces);

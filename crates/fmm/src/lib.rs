@@ -141,6 +141,26 @@ mod tests {
     }
 
     #[test]
+    fn repeated_runs_are_bitwise_identical() {
+        // Every accumulation of the tree passes (P2M, M2M, remote partial
+        // multipoles, M2L, L2L) must follow a fixed order, so two runs of
+        // one world agree to the last bit — hash-map iteration order (seeded
+        // per map) must never reach a sum.
+        let c = IonicCrystal::cubic(8, 1.0, 0.15, 3);
+        let bbox = c.system_box();
+        let cfg = FmmConfig { order: 6, level: 3, soft_core: None };
+        let bits = |(pot, field): (Vec<f64>, Vec<Vec3>)| -> Vec<u64> {
+            let f = field.iter().flat_map(|v| (0..3).map(move |d| v[d].to_bits()));
+            pot.iter().map(|x| x.to_bits()).chain(f).collect()
+        };
+        let first = bits(run_fmm_restore(&c, 4, cfg.clone(), bbox));
+        for round in 1..4 {
+            let again = bits(run_fmm_restore(&c, 4, cfg.clone(), bbox));
+            assert!(first == again, "run {round} differs from run 0");
+        }
+    }
+
+    #[test]
     fn periodic_crystal_close_to_ewald() {
         // Jittered ionic crystal; wrapped-list FMM approximates the periodic
         // sum. Tolerance is looser than the open case (documented cell-pair

@@ -553,15 +553,20 @@ impl FmmSolver {
                 let (a, b) = multipoles.split_at_mut(l as usize);
                 (&mut a[l as usize - 1], &b[0])
             };
-            let mut ops_count = 0usize;
-            for (k, m) in fine {
-                let parent = particles::zorder::parent(*k);
+            // Children are added to their parent in ascending key order:
+            // hash-map iteration order is seeded per map, and summing in it
+            // made the parent multipoles (and every energy) differ in the
+            // low bits from run to run.
+            let mut children: Vec<u64> = fine.keys().copied().collect();
+            children.sort_unstable();
+            for &k in &children {
+                let parent = particles::zorder::parent(k);
                 let zp = cell_center(&self.bbox, parent, l - 1);
-                let zc = cell_center(&self.bbox, *k, l);
+                let zc = cell_center(&self.bbox, k, l);
                 let pm = coarse.entry(parent).or_insert_with(|| vec![0.0; nc]);
-                self.ops.m2m(pm, m, zc, zp);
-                ops_count += 1;
+                self.ops.m2m(pm, &fine[&k], zc, zp);
             }
+            let ops_count = children.len();
             comm.compute(Work::ExpansionTerm, (ops_count * nc * nc / 4) as f64);
         }
 
@@ -628,6 +633,10 @@ impl FmmSolver {
         let meta_recv = comm.alltoallv(resp_meta);
         let coef_recv = comm.alltoallv(resp_coef);
         let coef_by_src: HashMap<usize, Vec<f64>> = coef_recv.into_iter().collect();
+        // Partials of one cell are summed in source-rank order (`alltoallv`
+        // delivers by source, and a cell appears at most once per message),
+        // so the request order inside a message — hash-set order — never
+        // reaches a sum. The downward pass below only looks entries up.
         let mut remote_m: HashMap<(u32, u64), Vec<f64>> = HashMap::new();
         for (src, meta) in meta_recv {
             let coefs = &coef_by_src[&src];

@@ -62,12 +62,22 @@ impl SystemBox {
     }
 
     /// Minimum-image displacement `a - b` under the box's periodicity.
+    ///
+    /// Per periodic axis of finite length `L` the result is bitwise equal to
+    /// `d - L * (d / L).round()`, computed without the division and the
+    /// `round` call wherever the rounded quotient is certain:
+    /// * `|d| < 0.49 L`: the quotient rounds to `±0`, so the result is
+    ///   `d + 0.0` (which keeps the formula's `-0.0 → +0.0`);
+    /// * `0.51 L < |d| < 1.49 L`: the quotient rounds to `±1`, so the result
+    ///   is `d ∓ L`;
+    /// * the bands around `0.5 L` and `1.5 L`, larger `|d|`, NaN and infinite
+    ///   inputs, and infinite `L` take the formula itself.
+    #[inline]
     pub fn min_image(&self, a: Vec3, b: Vec3) -> Vec3 {
         let mut d = a - b;
         for k in 0..3 {
             if self.periodic[k] {
-                let l = self.lengths[k];
-                d[k] -= l * (d[k] / l).round();
+                d[k] = min_image_axis(d[k], self.lengths[k]);
             }
         }
         d
@@ -103,6 +113,22 @@ impl SystemBox {
         assert!(nprocs >= 1);
         (self.volume() / nprocs as f64).cbrt()
     }
+}
+
+/// One periodic axis of [`SystemBox::min_image`]: `x - l * (x / l).round()`,
+/// with the certain-quotient intervals answered without a division.
+#[inline]
+fn min_image_axis(x: f64, l: f64) -> f64 {
+    let a = x.abs();
+    if l < f64::INFINITY {
+        if a < 0.49 * l {
+            return x + 0.0;
+        }
+        if a > 0.51 * l && a < 1.49 * l {
+            return if x > 0.0 { x - l } else { x + l };
+        }
+    }
+    x - l * (x / l).round()
 }
 
 #[cfg(test)]

@@ -12,13 +12,11 @@
 //!   path mirrors this — the transpose steps are the communication pattern
 //!   of parallel FFT-based solvers (cf. the paper's P2NFFT).
 
-use std::collections::HashMap;
-
 use particles::{SystemBox, Vec3};
 use simcomm::{Comm, Work};
 
 use crate::bspline::{bspline_hat, stencil};
-use crate::fft::{fft_in_place, Complex, Direction};
+use crate::fft::{Complex, Direction, FftPlan};
 
 /// How the mesh is distributed for the parallel FFT.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -34,20 +32,58 @@ pub enum MeshDecomp {
     Pencil,
 }
 
-/// Cross-timestep cache of the far field's spectral tables: the
-/// Hockney-Eastwood influence function and the (Nyquist-zeroed) wave vector
-/// at every spectral mesh point this rank owns, in the traversal order of
-/// the owning decomposition. Both are pure functions of the plan geometry
-/// (mesh, assignment order, splitting parameter, box) and the rank layout,
-/// so one table serves every timestep of a simulation; the solver keeps one
-/// per [`crate::PmSolver`] and threads it through
-/// [`FarFieldPlan::execute_cached`].
+/// Cross-timestep cache of the far field's rank-local tables, all pure
+/// functions of the plan geometry (mesh, assignment order, splitting
+/// parameter, box) and the rank layout, so one cache serves every timestep
+/// of a simulation; the solver keeps one per [`crate::PmSolver`] and threads
+/// it through [`FarFieldPlan::execute_cached`]:
+/// * the Hockney-Eastwood influence function and the (Nyquist-zeroed) wave
+///   vector at every spectral mesh point this rank owns, in the traversal
+///   order of the owning decomposition;
+/// * the index tables of the mesh data motion: this rank's charge-assignment
+///   and interpolation window, which grid coordinates need each mesh index,
+///   the owner of each mesh plane or pencil row, and the size of every send
+///   list of the patch distribution;
+/// * the forward and inverse FFT plans of the mesh extent.
 pub struct FarFieldCache {
-    /// (decomp, rank, world size, mesh) the table was built for.
-    key: (MeshDecomp, usize, usize, usize),
+    /// (decomp, rank, world size, mesh, assignment order, process grid) the
+    /// tables were built for.
+    key: (MeshDecomp, usize, usize, usize, usize, [usize; 3]),
     /// `(G_opt, k)` per locally owned spectral point.
     spec: Vec<(f64, Vec3)>,
+    /// Index tables of the data motion (boxed: the cache lives inline in
+    /// every `PmSolver`).
+    layout: Box<MeshLayout>,
+    /// Forward and inverse transforms of one mesh line.
+    fwd: FftPlan,
+    inv: FftPlan,
 }
+
+/// Rank-local index tables of the far field's data motion (see
+/// [`FarFieldCache`]).
+struct MeshLayout {
+    /// Window extent per dimension: this rank's particle-grid mesh range
+    /// widened by the assignment order on both sides, at most the mesh.
+    ext: [usize; 3],
+    /// Global mesh index of window offset 0 per dimension (the window wraps).
+    w0: [usize; 3],
+    /// `win[d][i]`: in-window offset of global mesh index `i` along `d`, or
+    /// `u32::MAX` outside the window.
+    win: [Vec<u32>; 3],
+    /// `needers[d][i]`: the grid coordinates along `d` whose window holds
+    /// mesh index `i`, ascending.
+    needers: [Vec<Vec<usize>>; 3],
+    /// Owner of each mesh index in the transform decomposition. Slab: `[0]`
+    /// is the rank owning x-plane (and y-plane) `i`. Pencil: `[0]` and `[1]`
+    /// are the owning coordinates over the `p1` and `p2` process rows.
+    owner: [Vec<usize>; 2],
+    /// Points the patch distribution sends to each rank.
+    dist_counts: Vec<usize>,
+}
+
+/// Mesh points of one dense owned block, `lo[d]..hi[d]` per dimension, in
+/// row-major `(x, y, z)` order.
+type Block = [(usize, usize); 3];
 
 /// Geometry/layout of the distributed mesh computation.
 #[derive(Clone, Debug)]
@@ -93,21 +129,22 @@ impl FarFieldPlan {
         c[0] * self.dims[1] * self.dims[2] + c[1] * self.dims[2] + c[2]
     }
 
-    /// x-slab `[lo, hi)` of `rank` in a world of `p` ranks.
-    fn slab_range(&self, rank: usize, p: usize) -> (usize, usize) {
-        (rank * self.mesh / p, (rank + 1) * self.mesh / p)
+    /// Floor range `[lo, hi)` of part `c` of the mesh split into `parts`.
+    fn part_range(&self, c: usize, parts: usize) -> (usize, usize) {
+        (c * self.mesh / parts, (c + 1) * self.mesh / parts)
     }
 
-    /// Rank owning x-plane `x` in a world of `p` ranks.
-    fn slab_owner(&self, x: usize, p: usize) -> usize {
-        let mut r = x * p / self.mesh;
-        while self.slab_range(r, p).1 <= x {
-            r += 1;
+    /// Part owning mesh index `i` when the mesh is split into `parts` floor
+    /// ranges.
+    fn part_owner(&self, i: usize, parts: usize) -> usize {
+        let mut c = i * parts / self.mesh;
+        while self.part_range(c, parts).1 <= i {
+            c += 1;
         }
-        while self.slab_range(r, p).0 > x {
-            r -= 1;
+        while self.part_range(c, parts).0 > i {
+            c -= 1;
         }
-        r
+        c
     }
 
     #[inline]
@@ -115,10 +152,13 @@ impl FarFieldPlan {
         ((i * self.mesh + j) * self.mesh + k) as u64
     }
 
+    /// Inverse of [`Self::pack`]; the mesh is a power of two, so shifts and
+    /// masks replace the divisions.
     #[inline]
     fn unpack(&self, p: u64) -> (usize, usize, usize) {
-        let m = self.mesh as u64;
-        ((p / (m * m)) as usize, ((p / m) % m) as usize, (p % m) as usize)
+        let s = self.mesh.trailing_zeros();
+        let mask = self.mesh as u64 - 1;
+        ((p >> (2 * s)) as usize, ((p >> s) & mask) as usize, (p & mask) as usize)
     }
 
     /// Signed integer frequency of mesh index `i`.
@@ -197,14 +237,15 @@ impl FarFieldPlan {
     }
 
     /// [`Self::execute`] with a caller-held cross-timestep cache of the
-    /// spectral tables (see [`FarFieldCache`]). The cache is validated
-    /// against the plan geometry and rank layout and rebuilt on mismatch, so
-    /// passing a stale cache is safe; a hit skips the per-point
+    /// spectral and index tables (see [`FarFieldCache`]). The cache is
+    /// validated against the plan geometry and rank layout and rebuilt on
+    /// mismatch, so passing a stale cache is safe; a hit skips the per-point
     /// Hockney-Eastwood influence evaluation (27 aliasing images with three
     /// `bspline_hat` calls each), which dominates the host cost of small
-    /// meshes. Results are bitwise identical with or without a cache — the
-    /// table stores the exact values the fresh evaluation produces, and the
-    /// modelled (virtual) compute cost is charged identically either way.
+    /// meshes, and the index-table construction. Results are bitwise
+    /// identical with or without a cache — the tables store the exact values
+    /// the fresh evaluation produces, and the modelled (virtual) compute cost
+    /// is charged identically either way.
     pub fn execute_cached(
         &self,
         comm: &mut Comm,
@@ -212,72 +253,43 @@ impl FarFieldPlan {
         charge: &[f64],
         cache: &mut Option<FarFieldCache>,
     ) -> (Vec<f64>, Vec<Vec3>) {
+        assert!(self.mesh.is_power_of_two(), "mesh must be a power of two");
         match self.decomp {
             MeshDecomp::Slab => self.execute_slab(comm, pos, charge, cache),
             MeshDecomp::Pencil => self.execute_pencil(comm, pos, charge, cache),
         }
     }
 
-    /// Fetch the cached spectral table for this plan/layout, rebuilding it
-    /// with `build` when absent or built for a different geometry.
-    fn spectral_table<'c>(
+    /// Fetch the cached tables for this plan/layout, rebuilding them when
+    /// absent or built for a different geometry; `spec` builds the spectral
+    /// table, `owned` is the block of mesh points the patch distribution
+    /// sends from.
+    fn tables<'c>(
         &self,
         cache: &'c mut Option<FarFieldCache>,
         me: usize,
         p: usize,
-        build: impl FnOnce() -> Vec<(f64, Vec3)>,
-    ) -> &'c [(f64, Vec3)] {
-        let key = (self.decomp, me, p, self.mesh);
+        owned: Block,
+        spec: impl FnOnce() -> Vec<(f64, Vec3)>,
+    ) -> &'c FarFieldCache {
+        let key = (self.decomp, me, p, self.mesh, self.assign_order, self.dims);
         if !cache.as_ref().is_some_and(|c| c.key == key) {
-            *cache = Some(FarFieldCache { key, spec: build() });
+            *cache = Some(FarFieldCache {
+                key,
+                spec: spec(),
+                layout: Box::new(self.layout(me, p, owned)),
+                fwd: FftPlan::new(self.mesh, Direction::Forward),
+                inv: FftPlan::new(self.mesh, Direction::Inverse),
+            });
         }
-        &cache.as_ref().expect("cache filled above").spec
+        cache.as_ref().expect("cache filled above")
     }
 
-    /// B-spline charge assignment: sparse per-mesh-point contributions of the
-    /// local particles.
-    fn assign_charges(&self, comm: &mut Comm, pos: &[Vec3], charge: &[f64]) -> HashMap<u64, f64> {
+    /// Build the index tables of [`MeshLayout`] for rank `me` of `p`.
+    fn layout(&self, me: usize, p: usize, owned: Block) -> MeshLayout {
         let m = self.mesh;
         let order = self.assign_order;
-        let mut contrib: HashMap<u64, f64> = HashMap::new();
-        let mut wx = vec![0.0; order];
-        let mut wy = vec![0.0; order];
-        let mut wz = vec![0.0; order];
-        for (x, &q) in pos.iter().zip(charge) {
-            let t = self.bbox.normalized(*x);
-            let fx = stencil(order, t.x() * m as f64, &mut wx);
-            let fy = stencil(order, t.y() * m as f64, &mut wy);
-            let fz = stencil(order, t.z() * m as f64, &mut wz);
-            for (a, &wxa) in wx.iter().enumerate() {
-                let gi = (fx + a as i64).rem_euclid(m as i64) as usize;
-                for (b, &wyb) in wy.iter().enumerate() {
-                    let gj = (fy + b as i64).rem_euclid(m as i64) as usize;
-                    let part = q * wxa * wyb;
-                    for (c, &wzc) in wz.iter().enumerate() {
-                        let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
-                        *contrib.entry(self.pack(gi, gj, gk)).or_insert(0.0) += part * wzc;
-                    }
-                }
-            }
-        }
-        comm.compute(Work::MeshPoint, (pos.len() * order * order * order) as f64);
-        contrib
-    }
-
-    /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) to the
-    /// interpolation patches of the particle-grid owners, then interpolate
-    /// potentials/fields at the local particles and apply the self-energy
-    /// correction.
-    fn distribute_and_interpolate(
-        &self,
-        comm: &mut Comm,
-        owned_points: Vec<(u64, [f64; 4])>,
-        pos: &[Vec3],
-        charge: &[f64],
-    ) -> (Vec<f64>, Vec<Vec3>) {
-        let m = self.mesh;
-        let order = self.assign_order;
-        // Per-dimension: which grid coordinates need mesh index i (their
+        // Per dimension: which grid coordinates need mesh index i (their
         // interior range expanded by the assignment order, wrapped)?
         let mut needers: [Vec<Vec<usize>>; 3] =
             [vec![Vec::new(); m], vec![Vec::new(); m], vec![Vec::new(); m]];
@@ -295,54 +307,181 @@ impl FarFieldPlan {
                 }
             }
         }
-        // Destination-indexed send lists (dense; empty partner buffers are
-        // skipped by `alltoallv`'s sparse fast path, so passing them costs
-        // nothing) — no per-point hashing.
-        let p = comm.size();
-        let mut sends: Vec<Vec<(u64, [f64; 4])>> = vec![Vec::new(); p];
-        for (idx, rec) in owned_points {
-            let (i, j, k) = self.unpack(idx);
-            for &cx in &needers[0][i] {
-                for &cy in &needers[1][j] {
-                    for &cz in &needers[2][k] {
-                        sends[self.grid_rank([cx, cy, cz])].push((idx, rec));
-                    }
-                }
-            }
-        }
-        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
-
-        // Dense interpolation patch over this rank's wrapped mesh window
-        // (its particle-grid range expanded by the assignment order per
-        // dimension), replacing a point-keyed hash map: `maps[d][i]` is the
-        // in-window offset of global mesh index `i`, or `u32::MAX` outside.
-        let me = comm.rank();
+        // This rank's wrapped window (its particle-grid range expanded by
+        // the assignment order per dimension).
         let my_c = [
             me / (self.dims[1] * self.dims[2]),
             (me / self.dims[2]) % self.dims[1],
             me % self.dims[2],
         ];
         let mut ext = [0usize; 3];
-        let mut maps: [Vec<u32>; 3] = [vec![u32::MAX; m], vec![u32::MAX; m], vec![u32::MAX; m]];
+        let mut w0 = [0usize; 3];
+        let mut win: [Vec<u32>; 3] = [vec![u32::MAX; m], vec![u32::MAX; m], vec![u32::MAX; m]];
         for d in 0..3 {
             let (lo, hi) = self.dim_range(d, my_c[d]);
             ext[d] = ((hi - lo) + 2 * order).min(m);
-            let w0 = (lo as i64 - order as i64).rem_euclid(m as i64) as usize;
+            w0[d] = (lo as i64 - order as i64).rem_euclid(m as i64) as usize;
             for off in 0..ext[d] {
-                maps[d][(w0 + off) % m] = off as u32;
+                win[d][(w0[d] + off) % m] = off as u32;
             }
         }
+        let owner = match self.decomp {
+            MeshDecomp::Slab => [(0..m).map(|i| self.part_owner(i, p)).collect(), Vec::new()],
+            MeshDecomp::Pencil => {
+                let grid = simcomm::balanced_dims(p, 2);
+                [
+                    (0..m).map(|i| self.part_owner(i, grid[0])).collect(),
+                    (0..m).map(|i| self.part_owner(i, grid[1])).collect(),
+                ]
+            }
+        };
+        // Send-list sizes of the patch distribution: per dimension, how many
+        // owned indices each grid coordinate needs; a rank receives the
+        // product over its three coordinates.
+        let mut per_dim: [Vec<usize>; 3] =
+            [vec![0; self.dims[0]], vec![0; self.dims[1]], vec![0; self.dims[2]]];
+        for d in 0..3 {
+            for need in &needers[d][owned[d].0..owned[d].1] {
+                for &c in need {
+                    per_dim[d][c] += 1;
+                }
+            }
+        }
+        let mut dist_counts = vec![0usize; p];
+        for (cx, &nx) in per_dim[0].iter().enumerate() {
+            for (cy, &ny) in per_dim[1].iter().enumerate() {
+                for (cz, &nz) in per_dim[2].iter().enumerate() {
+                    dist_counts[self.grid_rank([cx, cy, cz])] = nx * ny * nz;
+                }
+            }
+        }
+        MeshLayout { ext, w0, win, needers, owner, dist_counts }
+    }
+
+    /// B-spline charge assignment of the local particles into this rank's
+    /// dense window, accumulated per mesh point in particle order, then
+    /// routed as `(mesh index, charge)` per touched point to the rank
+    /// `dest(i, j)` owning mesh column `(i, j)`. Destination-indexed send
+    /// lists; every touched point is sent once, so each message carries one
+    /// entry per point.
+    fn assign_charges(
+        &self,
+        comm: &mut Comm,
+        pos: &[Vec3],
+        charge: &[f64],
+        lay: &MeshLayout,
+        dest: impl Fn(usize, usize) -> usize,
+    ) -> Vec<(usize, Vec<(u64, f64)>)> {
+        let m = self.mesh;
+        let order = self.assign_order;
+        let ext = lay.ext;
+        let mut window = vec![0.0f64; ext[0] * ext[1] * ext[2]];
+        let mut touched = vec![false; window.len()];
+        let mut wx = vec![0.0; order];
+        let mut wy = vec![0.0; order];
+        let mut wz = vec![0.0; order];
+        for (x, &q) in pos.iter().zip(charge) {
+            let t = self.bbox.normalized(*x);
+            let fx = stencil(order, t.x() * m as f64, &mut wx);
+            let fy = stencil(order, t.y() * m as f64, &mut wy);
+            let fz = stencil(order, t.z() * m as f64, &mut wz);
+            for (a, &wxa) in wx.iter().enumerate() {
+                let gi = (fx + a as i64).rem_euclid(m as i64) as usize;
+                for (b, &wyb) in wy.iter().enumerate() {
+                    let gj = (fy + b as i64).rem_euclid(m as i64) as usize;
+                    let part = q * wxa * wyb;
+                    for (c, &wzc) in wz.iter().enumerate() {
+                        let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
+                        let o = window_offset(lay, gi, gj, gk)
+                            .expect("charge-assignment stencil outside the rank's mesh window");
+                        window[o] += part * wzc;
+                        touched[o] = true;
+                    }
+                }
+            }
+        }
+        comm.compute(Work::MeshPoint, (pos.len() * order * order * order) as f64);
+
+        let p = comm.size();
+        let global = |d: usize, off: usize| (lay.w0[d] + off) % m;
+        let mut counts = vec![0usize; p];
+        let mut o = 0;
+        for ox in 0..ext[0] {
+            for oy in 0..ext[1] {
+                let n = touched[o..o + ext[2]].iter().filter(|&&t| t).count();
+                counts[dest(global(0, ox), global(1, oy))] += n;
+                o += ext[2];
+            }
+        }
+        let mut sends: Vec<Vec<(u64, f64)>> =
+            counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut o = 0;
+        for ox in 0..ext[0] {
+            let i = global(0, ox);
+            for oy in 0..ext[1] {
+                let j = global(1, oy);
+                let to = &mut sends[dest(i, j)];
+                for oz in 0..ext[2] {
+                    if touched[o] {
+                        to.push((self.pack(i, j, global(2, oz)), window[o]));
+                    }
+                    o += 1;
+                }
+            }
+        }
+        sends.into_iter().enumerate().collect()
+    }
+
+    /// Distribute computed mesh values (phi, Ex, Ey, Ez per point of the
+    /// owned block `owned`, row-major, real parts of `vals`) to the
+    /// interpolation windows of the particle-grid owners, then interpolate
+    /// potentials/fields at the local particles and apply the self-energy
+    /// correction.
+    fn distribute_and_interpolate(
+        &self,
+        comm: &mut Comm,
+        lay: &MeshLayout,
+        owned: Block,
+        vals: [&[Complex]; 4],
+        pos: &[Vec3],
+        charge: &[f64],
+    ) -> (Vec<f64>, Vec<Vec3>) {
+        let m = self.mesh;
+        let order = self.assign_order;
+        // Destination-indexed send lists sized from the cached counts (empty
+        // partner buffers are skipped by `alltoallv`'s sparse fast path).
+        let mut sends: Vec<Vec<(u64, [f64; 4])>> =
+            lay.dist_counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let [(x0, x1), (y0, y1), (z0, z1)] = owned;
+        let mut o = 0;
+        for i in x0..x1 {
+            for j in y0..y1 {
+                for k in z0..z1 {
+                    let rec = [vals[0][o].re, vals[1][o].re, vals[2][o].re, vals[3][o].re];
+                    let idx = self.pack(i, j, k);
+                    for &cx in &lay.needers[0][i] {
+                        for &cy in &lay.needers[1][j] {
+                            for &cz in &lay.needers[2][k] {
+                                sends[self.grid_rank([cx, cy, cz])].push((idx, rec));
+                            }
+                        }
+                    }
+                    o += 1;
+                }
+            }
+        }
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
+
+        // Dense interpolation patch over this rank's window.
+        let ext = lay.ext;
         let mut patch = vec![[0.0f64; 4]; ext[0] * ext[1] * ext[2]];
         let mut filled = vec![false; patch.len()];
         for (_src, buf) in received {
             for (idx, v) in buf {
                 let (i, j, k) = self.unpack(idx);
-                let (ox, oy, oz) = (maps[0][i], maps[1][j], maps[2][k]);
-                assert!(
-                    ox != u32::MAX && oy != u32::MAX && oz != u32::MAX,
-                    "mesh point ({i},{j},{k}) outside the interpolation window"
-                );
-                let o = (ox as usize * ext[1] + oy as usize) * ext[2] + oz as usize;
+                let o = window_offset(lay, i, j, k).unwrap_or_else(|| {
+                    panic!("mesh point ({i},{j},{k}) outside the interpolation window")
+                });
                 patch[o] = v;
                 filled[o] = true;
             }
@@ -360,19 +499,16 @@ impl FarFieldPlan {
             let fz = stencil(order, t.z() * m as f64, &mut wz);
             for (a, &wxa) in wx.iter().enumerate() {
                 let gi = (fx + a as i64).rem_euclid(m as i64) as usize;
-                let ox = maps[0][gi] as usize;
                 for (b, &wyb) in wy.iter().enumerate() {
                     let gj = (fy + b as i64).rem_euclid(m as i64) as usize;
-                    let oy = maps[1][gj] as usize;
                     let wab = wxa * wyb;
                     for (c, &wzc) in wz.iter().enumerate() {
                         let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
-                        let oz = maps[2][gk] as usize;
                         let w = wab * wzc;
-                        let o = (ox * ext[1] + oy) * ext[2] + oz;
-                        if o >= filled.len() || !filled[o] {
-                            panic!("mesh point ({gi},{gj},{gk}) missing from patch");
-                        }
+                        let o =
+                            window_offset(lay, gi, gj, gk).filter(|&o| filled[o]).unwrap_or_else(
+                                || panic!("mesh point ({gi},{gj},{gk}) missing from patch"),
+                            );
                         let v = &patch[o];
                         phi[pi] += w * v[0];
                         field[pi] += Vec3::new(v[1], v[2], v[3]) * w;
@@ -401,20 +537,31 @@ impl FarFieldPlan {
         let p = comm.size();
         let me = comm.rank();
         let m = self.mesh;
-        let contrib = self.assign_charges(comm, pos, charge);
+        let (sx0, sx1) = self.part_range(me, p);
+        let sx = sx1 - sx0;
+        let (sy0, sy1) = self.part_range(me, p);
+        let sy = sy1 - sy0;
+        let owned: Block = [(sx0, sx1), (0, m), (0, m)];
+        let tables = self.tables(cache, me, p, owned, || {
+            let mut spec = Vec::with_capacity(sy * m * m);
+            for yi in 0..sy {
+                let myf = self.freq(sy0 + yi);
+                for x in 0..m {
+                    let mxf = self.freq(x);
+                    for z in 0..m {
+                        let mzf = self.freq(z);
+                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
+                    }
+                }
+            }
+            spec
+        });
+        let lay = &tables.layout;
+        let plane_owner = &lay.owner[0];
 
         // ---- Route contributions to x-slab owners and densify ----
-        // x-plane → owning rank, tabulated once; destination-indexed dense
-        // send lists (empty partners are skipped inside `alltoallv`).
-        let plane_owner: Vec<usize> = (0..m).map(|i| self.slab_owner(i, p)).collect();
-        let mut by_owner: Vec<Vec<(u64, f64)>> = vec![Vec::new(); p];
-        for (&idx, &val) in &contrib {
-            let (i, _, _) = self.unpack(idx);
-            by_owner[plane_owner[i]].push((idx, val));
-        }
-        let received = comm.alltoallv(by_owner.into_iter().enumerate().collect());
-        let (sx0, sx1) = self.slab_range(me, p);
-        let sx = sx1 - sx0;
+        let by_owner = self.assign_charges(comm, pos, charge, lay, |i, _| plane_owner[i]);
+        let received = comm.alltoallv(by_owner);
         // Slab layout: data[(x - sx0) * m * m + y * m + z].
         let mut slab = vec![Complex::ZERO; sx * m * m];
         for (_src, buf) in received {
@@ -429,24 +576,21 @@ impl FarFieldPlan {
         // ---- Forward 2D FFT (y, z) per x-plane ----
         let mut fft_ops = 0u64;
         for plane in slab.chunks_exact_mut(m * m) {
-            fft_ops += fft_2d(plane, m, Direction::Forward);
+            fft_ops += fft_2d(plane, &tables.fwd);
         }
 
         // ---- Transpose to y-slabs ----
-        let (sy0, sy1) = self.slab_range(me, p);
-        let sy = sy1 - sy0;
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 2])>> = HashMap::new();
+        let mut sends = sized_sends(p, plane_owner.iter().copied(), sx * m);
         for xi in 0..sx {
             for y in 0..m {
-                let dst = self.slab_owner(y, p);
-                let row = sends.entry(dst).or_default();
+                let row = &mut sends[plane_owner[y]];
                 for z in 0..m {
                     let c = slab[(xi * m + y) * m + z];
                     row.push((self.pack(sx0 + xi, y, z), [c.re, c.im]));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
         // y-slab layout: data[(y - sy0) * m * m + x * m + z].
         let mut yslab = vec![Complex::ZERO; sy * m * m];
         for (_src, buf) in received {
@@ -457,28 +601,14 @@ impl FarFieldPlan {
             }
         }
         // ---- FFT along x (strided within the y-slab) ----
-        fft_ops += fft_axis_x(&mut yslab, sy, m, Direction::Forward);
+        fft_ops += fft_axis_x(&mut yslab, sy, &tables.fwd);
 
         // ---- Influence function; produce phi-hat and ik-field-hat ----
-        let spec = self.spectral_table(cache, me, p, || {
-            let mut spec = Vec::with_capacity(sy * m * m);
-            for yi in 0..sy {
-                let myf = self.freq(sy0 + yi);
-                for x in 0..m {
-                    let mxf = self.freq(x);
-                    for z in 0..m {
-                        let mzf = self.freq(z);
-                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
-                    }
-                }
-            }
-            spec
-        });
         let mut phi_hat = vec![Complex::ZERO; sy * m * m];
         let mut ex_hat = vec![Complex::ZERO; sy * m * m];
         let mut ey_hat = vec![Complex::ZERO; sy * m * m];
         let mut ez_hat = vec![Complex::ZERO; sy * m * m];
-        for (o, &(g, k)) in spec.iter().enumerate() {
+        for (o, &(g, k)) in tables.spec.iter().enumerate() {
             if g == 0.0 {
                 continue;
             }
@@ -494,34 +624,24 @@ impl FarFieldPlan {
 
         // ---- Inverse FFT along x for the four spectra ----
         for arr in [&mut phi_hat, &mut ex_hat, &mut ey_hat, &mut ez_hat] {
-            fft_ops += fft_axis_x(arr, sy, m, Direction::Inverse);
+            fft_ops += fft_axis_x(arr, sy, &tables.inv);
         }
 
         // ---- Transpose back to x-slabs (four values per point) ----
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 8])>> = HashMap::new();
+        let mut sends = sized_sends(p, plane_owner.iter().copied(), sy * m);
         for yi in 0..sy {
             for x in 0..m {
-                let dst = self.slab_owner(x, p);
-                let row = sends.entry(dst).or_default();
+                let row = &mut sends[plane_owner[x]];
                 for z in 0..m {
                     let o = (yi * m + x) * m + z;
                     row.push((
                         self.pack(x, sy0 + yi, z),
-                        [
-                            phi_hat[o].re,
-                            phi_hat[o].im,
-                            ex_hat[o].re,
-                            ex_hat[o].im,
-                            ey_hat[o].re,
-                            ey_hat[o].im,
-                            ez_hat[o].re,
-                            ez_hat[o].im,
-                        ],
+                        spectra_at(&phi_hat, &ex_hat, &ey_hat, &ez_hat, o),
                     ));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
         let mut xphi = vec![Complex::ZERO; sx * m * m];
         let mut xex = vec![Complex::ZERO; sx * m * m];
         let mut xey = vec![Complex::ZERO; sx * m * m];
@@ -539,25 +659,13 @@ impl FarFieldPlan {
         // ---- Inverse 2D FFT (y, z) per x-plane ----
         for arr in [&mut xphi, &mut xex, &mut xey, &mut xez] {
             for plane in arr.chunks_exact_mut(m * m) {
-                fft_ops += fft_2d(plane, m, Direction::Inverse);
+                fft_ops += fft_2d(plane, &tables.inv);
             }
         }
         comm.compute(Work::FftPoint, fft_ops as f64);
 
         // ---- Patch distribution + interpolation ----
-        let mut owned_points = Vec::with_capacity(sx * m * m);
-        for xi in 0..sx {
-            for j in 0..m {
-                for k in 0..m {
-                    let o = (xi * m + j) * m + k;
-                    owned_points.push((
-                        self.pack(sx0 + xi, j, k),
-                        [xphi[o].re, xex[o].re, xey[o].re, xez[o].re],
-                    ));
-                }
-            }
-        }
-        self.distribute_and_interpolate(comm, owned_points, pos, charge)
+        self.distribute_and_interpolate(comm, lay, owned, [&xphi, &xex, &xey, &xez], pos, charge)
     }
 
     /// Pencil-decomposed execution (2D decomposition): the `P` ranks form a
@@ -576,33 +684,40 @@ impl FarFieldPlan {
         let grid = simcomm::balanced_dims(p, 2);
         let (p1, p2) = (grid[0], grid[1]);
         let (a_me, b_me) = (me / p2, me % p2);
-        // Floor ranges of the mesh over p1 / p2 along a given axis.
-        let range =
-            |c: usize, parts: usize| -> (usize, usize) { (c * m / parts, (c + 1) * m / parts) };
-        let owner = |i: usize, parts: usize| -> usize {
-            let mut c = (i * parts) / m;
-            while range(c, parts).1 <= i {
-                c += 1;
-            }
-            while range(c, parts).0 > i {
-                c -= 1;
-            }
-            c
-        };
         let rank_of = |a: usize, b: usize| a * p2 + b;
-
-        let contrib = self.assign_charges(comm, pos, charge);
-
-        // ---- Stage A: z-pencils (x in XA[a], y in YB[b], full z) ----
-        let (ax0, ax1) = range(a_me, p1);
-        let (ay0, ay1) = range(b_me, p2);
+        // Stage A: z-pencils (x in XA[a], y in YB[b], full z).
+        let (ax0, ax1) = self.part_range(a_me, p1);
+        let (ay0, ay1) = self.part_range(b_me, p2);
         let (anx, any) = (ax1 - ax0, ay1 - ay0);
-        let mut by_owner: HashMap<usize, Vec<(u64, f64)>> = HashMap::new();
-        for (&idx, &val) in &contrib {
-            let (i, j, _) = self.unpack(idx);
-            by_owner.entry(rank_of(owner(i, p1), owner(j, p2))).or_default().push((idx, val));
-        }
-        let received = comm.alltoallv(by_owner.into_iter().collect());
+        // Stage B: y-pencils (x in XA[a], z in ZB[b], full y).
+        let (bz0, bz1) = self.part_range(b_me, p2);
+        let bnz = bz1 - bz0;
+        // Stage C: x-pencils (y in YA[a], z in ZB[b], full x).
+        let (cy0, cy1) = self.part_range(a_me, p1);
+        let cny = cy1 - cy0;
+        let n_local = cny * bnz * m;
+        let owned: Block = [(ax0, ax1), (ay0, ay1), (0, m)];
+        let tables = self.tables(cache, me, p, owned, || {
+            let mut spec = Vec::with_capacity(n_local);
+            for yj in 0..cny {
+                let myf = self.freq(cy0 + yj);
+                for zk in 0..bnz {
+                    let mzf = self.freq(bz0 + zk);
+                    for x in 0..m {
+                        let mxf = self.freq(x);
+                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
+                    }
+                }
+            }
+            spec
+        });
+        let lay = &tables.layout;
+        let [own1, own2] = &lay.owner;
+
+        // ---- Route contributions to z-pencil owners ----
+        let by_owner =
+            self.assign_charges(comm, pos, charge, lay, |i, j| rank_of(own1[i], own2[j]));
+        let received = comm.alltoallv(by_owner);
         // Layout: zp[((xi * any) + yj) * m + z], z contiguous.
         let mut zp = vec![Complex::ZERO; anx * any * m];
         for (_src, buf) in received {
@@ -617,27 +732,22 @@ impl FarFieldPlan {
         // ---- FFT along z ----
         let mut fft_ops = 0u64;
         for line in zp.chunks_exact_mut(m) {
-            fft_ops += fft_in_place(line, Direction::Forward);
+            fft_ops += tables.fwd.run(line);
         }
 
-        // ---- Transpose A -> B: y-pencils (x in XA[a] unchanged, z in ZB[b],
-        // full y). Traffic stays within each p1-row. ----
-        let (bz0, bz1) = range(b_me, p2);
-        let bnz = bz1 - bz0;
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 2])>> = HashMap::new();
+        // ---- Transpose A -> B: y-pencils. Traffic stays within each
+        // p1-row. ----
+        let mut sends = sized_sends(p, own2.iter().map(|&b| rank_of(a_me, b)), anx * any);
         for xi in 0..anx {
             for yj in 0..any {
                 for z in 0..m {
                     let c = zp[(xi * any + yj) * m + z];
-                    let dst = rank_of(a_me, owner(z, p2));
-                    sends
-                        .entry(dst)
-                        .or_default()
+                    sends[rank_of(a_me, own2[z])]
                         .push((self.pack(ax0 + xi, ay0 + yj, z), [c.re, c.im]));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
         // Layout: yp[((xi * bnz) + zk) * m + y], y contiguous.
         let mut yp = vec![Complex::ZERO; anx * bnz * m];
         for (_src, buf) in received {
@@ -650,27 +760,22 @@ impl FarFieldPlan {
 
         // ---- FFT along y ----
         for line in yp.chunks_exact_mut(m) {
-            fft_ops += fft_in_place(line, Direction::Forward);
+            fft_ops += tables.fwd.run(line);
         }
 
-        // ---- Transpose B -> C: x-pencils (y in YA[a], z in ZB[b] unchanged,
-        // full x). Traffic stays within each p2-column. ----
-        let (cy0, cy1) = range(a_me, p1);
-        let cny = cy1 - cy0;
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 2])>> = HashMap::new();
+        // ---- Transpose B -> C: x-pencils. Traffic stays within each
+        // p2-column. ----
+        let mut sends = sized_sends(p, own1.iter().map(|&a| rank_of(a, b_me)), anx * bnz);
         for xi in 0..anx {
             for zk in 0..bnz {
                 for y in 0..m {
                     let c = yp[(xi * bnz + zk) * m + y];
-                    let dst = rank_of(owner(y, p1), b_me);
-                    sends
-                        .entry(dst)
-                        .or_default()
+                    sends[rank_of(own1[y], b_me)]
                         .push((self.pack(ax0 + xi, y, bz0 + zk), [c.re, c.im]));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
         // Layout: xp[((yj * bnz) + zk) * m + x], x contiguous.
         let mut xp = vec![Complex::ZERO; cny * bnz * m];
         for (_src, buf) in received {
@@ -683,30 +788,15 @@ impl FarFieldPlan {
 
         // ---- FFT along x ----
         for line in xp.chunks_exact_mut(m) {
-            fft_ops += fft_in_place(line, Direction::Forward);
+            fft_ops += tables.fwd.run(line);
         }
 
         // ---- Influence function in the x-pencil layout ----
-        let n_local = cny * bnz * m;
-        let spec = self.spectral_table(cache, me, p, || {
-            let mut spec = Vec::with_capacity(n_local);
-            for yj in 0..cny {
-                let myf = self.freq(cy0 + yj);
-                for zk in 0..bnz {
-                    let mzf = self.freq(bz0 + zk);
-                    for x in 0..m {
-                        let mxf = self.freq(x);
-                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
-                    }
-                }
-            }
-            spec
-        });
         let mut phi_hat = vec![Complex::ZERO; n_local];
         let mut ex_hat = vec![Complex::ZERO; n_local];
         let mut ey_hat = vec![Complex::ZERO; n_local];
         let mut ez_hat = vec![Complex::ZERO; n_local];
-        for (o, &(g, k)) in spec.iter().enumerate() {
+        for (o, &(g, k)) in tables.spec.iter().enumerate() {
             if g == 0.0 {
                 continue;
             }
@@ -722,34 +812,24 @@ impl FarFieldPlan {
         // ---- Inverse FFT along x for the four spectra ----
         for arr in [&mut phi_hat, &mut ex_hat, &mut ey_hat, &mut ez_hat] {
             for line in arr.chunks_exact_mut(m) {
-                fft_ops += fft_in_place(line, Direction::Inverse);
+                fft_ops += tables.inv.run(line);
             }
         }
 
         // ---- Transpose C -> B (four spectra packed) ----
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 8])>> = HashMap::new();
+        let mut sends = sized_sends(p, own1.iter().map(|&a| rank_of(a, b_me)), cny * bnz);
         for yj in 0..cny {
             for zk in 0..bnz {
                 for x in 0..m {
                     let o = (yj * bnz + zk) * m + x;
-                    let dst = rank_of(owner(x, p1), b_me);
-                    sends.entry(dst).or_default().push((
+                    sends[rank_of(own1[x], b_me)].push((
                         self.pack(x, cy0 + yj, bz0 + zk),
-                        [
-                            phi_hat[o].re,
-                            phi_hat[o].im,
-                            ex_hat[o].re,
-                            ex_hat[o].im,
-                            ey_hat[o].re,
-                            ey_hat[o].im,
-                            ez_hat[o].re,
-                            ez_hat[o].im,
-                        ],
+                        spectra_at(&phi_hat, &ex_hat, &ey_hat, &ez_hat, o),
                     ));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
         let nb = anx * bnz * m;
         let mut bphi = vec![Complex::ZERO; nb];
         let mut bex = vec![Complex::ZERO; nb];
@@ -769,28 +849,24 @@ impl FarFieldPlan {
         // ---- Inverse FFT along y ----
         for arr in [&mut bphi, &mut bex, &mut bey, &mut bez] {
             for line in arr.chunks_exact_mut(m) {
-                fft_ops += fft_in_place(line, Direction::Inverse);
+                fft_ops += tables.inv.run(line);
             }
         }
 
         // ---- Transpose B -> A ----
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 8])>> = HashMap::new();
+        let mut sends = sized_sends(p, own2.iter().map(|&b| rank_of(a_me, b)), anx * bnz);
         for xi in 0..anx {
             for zk in 0..bnz {
                 for y in 0..m {
                     let o = (xi * bnz + zk) * m + y;
-                    let dst = rank_of(a_me, owner(y, p2));
-                    sends.entry(dst).or_default().push((
+                    sends[rank_of(a_me, own2[y])].push((
                         self.pack(ax0 + xi, y, bz0 + zk),
-                        [
-                            bphi[o].re, bphi[o].im, bex[o].re, bex[o].im, bey[o].re, bey[o].im,
-                            bez[o].re, bez[o].im,
-                        ],
+                        spectra_at(&bphi, &bex, &bey, &bez, o),
                     ));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
         let na = anx * any * m;
         let mut aphi = vec![Complex::ZERO; na];
         let mut aex = vec![Complex::ZERO; na];
@@ -810,35 +886,52 @@ impl FarFieldPlan {
         // ---- Inverse FFT along z ----
         for arr in [&mut aphi, &mut aex, &mut aey, &mut aez] {
             for line in arr.chunks_exact_mut(m) {
-                fft_ops += fft_in_place(line, Direction::Inverse);
+                fft_ops += tables.inv.run(line);
             }
         }
         comm.compute(Work::FftPoint, fft_ops as f64);
 
         // ---- Patch distribution + interpolation ----
-        let mut owned_points = Vec::with_capacity(na);
-        for xi in 0..anx {
-            for yj in 0..any {
-                for z in 0..m {
-                    let o = (xi * any + yj) * m + z;
-                    owned_points.push((
-                        self.pack(ax0 + xi, ay0 + yj, z),
-                        [aphi[o].re, aex[o].re, aey[o].re, aez[o].re],
-                    ));
-                }
-            }
-        }
-        self.distribute_and_interpolate(comm, owned_points, pos, charge)
+        self.distribute_and_interpolate(comm, lay, owned, [&aphi, &aex, &aey, &aez], pos, charge)
     }
 }
 
-/// 2D FFT of an `m x m` plane stored row-major (rows along the second index).
-fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction) -> u64 {
+/// In-window offset of mesh point `(i, j, k)`, or `None` outside the window.
+#[inline]
+fn window_offset(lay: &MeshLayout, i: usize, j: usize, k: usize) -> Option<usize> {
+    let (ox, oy, oz) = (lay.win[0][i], lay.win[1][j], lay.win[2][k]);
+    if ox == u32::MAX || oy == u32::MAX || oz == u32::MAX {
+        return None;
+    }
+    Some((ox as usize * lay.ext[1] + oy as usize) * lay.ext[2] + oz as usize)
+}
+
+/// The four complex spectra at offset `o`, flattened for a transpose message.
+#[inline]
+fn spectra_at(a: &[Complex], b: &[Complex], c: &[Complex], d: &[Complex], o: usize) -> [f64; 8] {
+    [a[o].re, a[o].im, b[o].re, b[o].im, c[o].re, c[o].im, d[o].re, d[o].im]
+}
+
+/// Transpose send lists, one per rank: `dest` yields the destination rank
+/// of every mesh index along the transposed axis, each sending `per_index`
+/// points.
+fn sized_sends<T>(p: usize, dest: impl Iterator<Item = usize>, per_index: usize) -> Vec<Vec<T>> {
+    let mut counts = vec![0usize; p];
+    for r in dest {
+        counts[r] += per_index;
+    }
+    counts.into_iter().map(Vec::with_capacity).collect()
+}
+
+/// 2D FFT of an `m x m` plane stored row-major (rows along the second
+/// index), `m` being the plan length.
+fn fft_2d(plane: &mut [Complex], plan: &FftPlan) -> u64 {
+    let m = plan.len();
     debug_assert_eq!(plane.len(), m * m);
     let mut ops = 0;
     // Rows (contiguous).
     for row in plane.chunks_exact_mut(m) {
-        ops += fft_in_place(row, dir);
+        ops += plan.run(row);
     }
     // Columns (strided): gather/scatter through a temp buffer.
     let mut col = vec![Complex::ZERO; m];
@@ -846,7 +939,7 @@ fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction) -> u64 {
         for r in 0..m {
             col[r] = plane[r * m + c];
         }
-        ops += fft_in_place(&mut col, dir);
+        ops += plan.run(&mut col);
         for r in 0..m {
             plane[r * m + c] = col[r];
         }
@@ -855,8 +948,9 @@ fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction) -> u64 {
 }
 
 /// FFT along the x axis of a y-slab array laid out as
-/// `data[(y_local * m + x) * m + z]`.
-fn fft_axis_x(data: &mut [Complex], sy: usize, m: usize, dir: Direction) -> u64 {
+/// `data[(y_local * m + x) * m + z]`, `m` being the plan length.
+fn fft_axis_x(data: &mut [Complex], sy: usize, plan: &FftPlan) -> u64 {
+    let m = plan.len();
     let mut ops = 0;
     let mut line = vec![Complex::ZERO; m];
     for yi in 0..sy {
@@ -864,7 +958,7 @@ fn fft_axis_x(data: &mut [Complex], sy: usize, m: usize, dir: Direction) -> u64 
             for x in 0..m {
                 line[x] = data[(yi * m + x) * m + z];
             }
-            ops += fft_in_place(&mut line, dir);
+            ops += plan.run(&mut line);
             for x in 0..m {
                 data[(yi * m + x) * m + z] = line[x];
             }
@@ -905,7 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_ranges_partition_mesh() {
+    fn part_ranges_partition_mesh() {
         let plan = FarFieldPlan {
             mesh: 16,
             assign_order: 2,
@@ -917,11 +1011,11 @@ mod tests {
         for p in [1usize, 3, 16, 40] {
             let mut covered = 0;
             for r in 0..p {
-                let (lo, hi) = plan.slab_range(r, p);
+                let (lo, hi) = plan.part_range(r, p);
                 assert_eq!(lo, covered);
                 covered = hi;
                 for x in lo..hi {
-                    assert_eq!(plan.slab_owner(x, p), r);
+                    assert_eq!(plan.part_owner(x, p), r);
                 }
             }
             assert_eq!(covered, 16, "p={p}");

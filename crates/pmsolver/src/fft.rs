@@ -102,54 +102,93 @@ pub enum Direction {
 /// In-place 1D FFT of a power-of-two-length buffer. Returns the number of
 /// butterfly operations performed (for work accounting).
 pub fn fft_in_place(data: &mut [Complex], dir: Direction) -> u64 {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    if n <= 1 {
-        return 0;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    let mut butterflies = 0u64;
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        let mut i = 0;
-        while i < n {
+    FftPlan::new(data.len(), dir).run(data)
+}
+
+/// The twiddle factors of one transform length and direction, computed once
+/// and reused by every transform of that shape.
+///
+/// Stage `len` (2, 4, ..., n) multiplies by `w_j = wlen^j`, `j < len / 2`,
+/// generated by the recurrence `w_0 = 1`, `w_{j+1} = w_j * wlen` with
+/// `wlen = cis(±2π / len)` — exactly the running product a textbook
+/// iterative Cooley-Tukey loop forms per butterfly group, so a planned
+/// transform is bitwise that loop's result without the per-butterfly twiddle
+/// update and the per-stage `sin_cos`.
+#[derive(Clone, Debug)]
+pub(crate) struct FftPlan {
+    n: usize,
+    /// Stage `len`'s factors at `twiddles[len / 2 - 1..len - 1]`.
+    twiddles: Vec<Complex>,
+}
+
+impl FftPlan {
+    /// Plan transforms of length `n` (a power of two) in direction `dir`.
+    pub(crate) fn new(n: usize, dir: Direction) -> Self {
+        assert!(n.is_power_of_two(), "FFT length must be a power of two");
+        let sign = match dir {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::cis(ang);
             let mut w = Complex::new(1.0, 0.0);
-            for j in 0..len / 2 {
-                let u = data[i + j];
-                let v = data[i + j + len / 2] * w;
-                data[i + j] = u + v;
-                data[i + j + len / 2] = u - v;
+            for _ in 0..len / 2 {
+                twiddles.push(w);
                 w = w * wlen;
-                butterflies += 1;
             }
-            i += len;
+            len <<= 1;
         }
-        len <<= 1;
+        FftPlan { n, twiddles }
     }
-    butterflies
+
+    /// The planned transform length.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// In-place transform of `data` (of the planned length). Returns the
+    /// number of butterfly operations performed (for work accounting).
+    pub(crate) fn run(&self, data: &mut [Complex]) -> u64 {
+        let n = data.len();
+        assert_eq!(n, self.n, "FFT plan length mismatch");
+        if n <= 1 {
+            return 0;
+        }
+        // Bit-reversal permutation.
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let w = &self.twiddles[half - 1..len - 1];
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &wj) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
+                    let u = *a;
+                    let v = *b * wj;
+                    *a = u + v;
+                    *b = u - v;
+                }
+            }
+            len <<= 1;
+        }
+        (n / 2 * bits as usize) as u64
+    }
 }
 
 /// FFT each length-`n` row of a contiguous buffer of `rows * n` values.
 pub fn fft_rows(data: &mut [Complex], n: usize, dir: Direction) -> u64 {
     assert_eq!(data.len() % n, 0);
-    let mut ops = 0;
-    for row in data.chunks_exact_mut(n) {
-        ops += fft_in_place(row, dir);
-    }
-    ops
+    let plan = FftPlan::new(n, dir);
+    data.chunks_exact_mut(n).map(|row| plan.run(row)).sum()
 }
 
 /// Naive DFT for testing.

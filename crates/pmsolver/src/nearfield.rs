@@ -16,6 +16,19 @@ use particles::{SystemBox, Vec3};
 /// Positions may be periodic images; all displacements go through the
 /// minimum-image convention, which is exact as long as `rcut` is at most half
 /// the shortest box edge.
+///
+/// Layout: owned and ghost particles are binned into linked cells of at least
+/// `rcut` and copied once into cell-ordered contiguous arrays. Within a cell
+/// the particles sit in descending combined index (owned particles are
+/// numbered first, ghosts after them), which is the visit order of a
+/// head/next linked list built by ascending insertion. Every receiver walks its cell's sorted,
+/// deduplicated neighbour-cell list, so its pairs are accumulated in exactly
+/// the linked-list order and the results are bitwise those of the textbook
+/// kernel. Each cell is cut into chunks of consecutive slots; a chunk
+/// whose members all share one minimum-image band per axis is handled with
+/// one precomputed image shift, and skipped whole when its bounds lie beyond
+/// the cutoff (see `Images::shift`); any other chunk takes `min_image` per
+/// member.
 #[allow(clippy::too_many_arguments)]
 pub fn near_field(
     bbox: &SystemBox,
@@ -52,43 +65,60 @@ pub fn near_field(
         cell_w[d] = span / ncell[d] as f64;
         origin[d] = if wraps[d] { lo[d] } else { lo[d] - rcut };
     }
-    let cell_coords = |p: Vec3| -> [usize; 3] {
-        // Localize the (possibly wrapped) position relative to the region.
-        let rel = center + bbox.min_image(p, center);
+    let total_cells = ncell[0] * ncell[1] * ncell[2];
+    let pos_at = |i: usize| if i < n_owned { owned_pos[i] } else { ghost_pos[i - n_owned] };
+    let charge_at =
+        |i: usize| if i < n_owned { owned_charge[i] } else { ghost_charge[i - n_owned] };
+
+    // Cell of every particle (from its position localized to the region),
+    // then a counting sort into cell-ordered slots, descending combined
+    // index within a cell.
+    let mut cell_of = Vec::with_capacity(n_all);
+    let mut cell_start = vec![0usize; total_cells + 1];
+    for i in 0..n_all {
+        let rel = center + bbox.min_image(pos_at(i), center);
         let mut c = [0usize; 3];
         for d in 0..3 {
             let x = ((rel[d] - origin[d]) / cell_w[d]).floor();
             c[d] = (x.max(0.0) as usize).min(ncell[d] - 1);
         }
-        c
-    };
-    let cell_of = |p: Vec3| -> usize {
-        let c = cell_coords(p);
-        (c[0] * ncell[1] + c[1]) * ncell[2] + c[2]
-    };
-
-    // Head/next linked lists over the combined particle set. Positions and
-    // charges are concatenated up front so the hot pair loop indexes flat
-    // slices instead of branching between the owned and ghost halves.
-    let total_cells = ncell[0] * ncell[1] * ncell[2];
-    let mut head = vec![usize::MAX; total_cells];
-    let mut next = vec![usize::MAX; n_all];
-    let mut all_pos = Vec::with_capacity(n_all);
-    all_pos.extend_from_slice(owned_pos);
-    all_pos.extend_from_slice(ghost_pos);
-    let mut all_charge = Vec::with_capacity(n_all);
-    all_charge.extend_from_slice(owned_charge);
-    all_charge.extend_from_slice(ghost_charge);
-    // Cell of every owned particle, remembered from the list build so the
-    // interaction loop does not recompute `cell_coords` (a min-image call).
-    let mut owned_cell = vec![0usize; n_owned];
-    for (i, nx) in next.iter_mut().enumerate() {
-        let c = cell_of(all_pos[i]);
-        if i < n_owned {
-            owned_cell[i] = c;
+        let cell = (c[0] * ncell[1] + c[1]) * ncell[2] + c[2];
+        cell_of.push(cell);
+        cell_start[cell + 1] += 1;
+    }
+    for c in 0..total_cells {
+        cell_start[c + 1] += cell_start[c];
+    }
+    let mut fill = cell_start[..total_cells].to_vec();
+    let mut pos = vec![Vec3::ZERO; n_all];
+    let mut charge = vec![0.0f64; n_all];
+    for i in (0..n_all).rev() {
+        let s = &mut fill[cell_of[i]];
+        pos[*s] = pos_at(i);
+        charge[*s] = charge_at(i);
+        *s += 1;
+    }
+    // Chunks of consecutive slots within a cell with the bounds of their
+    // raw positions; `chunks[chunk_off[c]..chunk_off[c + 1]]` tile cell c.
+    let mut chunks: Vec<Chunk> = Vec::with_capacity(n_all / CHUNK + total_cells);
+    let mut chunk_off = Vec::with_capacity(total_cells + 1);
+    chunk_off.push(0);
+    for c in 0..total_cells {
+        let mut start = cell_start[c];
+        while start < cell_start[c + 1] {
+            let end = (start + CHUNK).min(cell_start[c + 1]);
+            let mut lo = pos[start];
+            let mut hi = pos[start];
+            for p in &pos[start + 1..end] {
+                for d in 0..3 {
+                    lo[d] = lo[d].min(p[d]);
+                    hi[d] = hi[d].max(p[d]);
+                }
+            }
+            chunks.push(Chunk { start, end, lo, hi });
+            start = end;
         }
-        *nx = head[c];
-        head[c] = i;
+        chunk_off.push(chunks.len());
     }
 
     // Neighbour stencil per *cell*, not per particle: every particle in a
@@ -140,49 +170,163 @@ pub fn near_field(
         }
     }
 
+    let images = Images::new(bbox);
     let rcut2 = rcut * rcut;
     let mut potential = vec![0.0; n_owned];
     let mut field = vec![Vec3::ZERO; n_owned];
     let mut pairs = 0u64;
+    let mut within: Vec<(Vec3, f64, f64)> = Vec::with_capacity(n_all);
     for i in 0..n_owned {
         let pi = owned_pos[i];
-        let ci = owned_cell[i];
         // One reciprocal per receiver instead of two divides per pair in the
         // soft-core branch below.
         let inv_qi = soft_core.as_ref().map(|core| (core.epsilon / owned_charge[i], core.sigma));
+        // Two passes per receiver: collect the pairs within the cutoff, in
+        // visit order, then evaluate them. The evaluation loop has no
+        // data-dependent branch, so the CPU overlaps consecutive pairs'
+        // `erfc`/`exp` chains; the accumulation order is the visit order
+        // either way.
+        within.clear();
+        let mut keep = |d: Vec3, qj: f64| {
+            let r2 = d.norm2();
+            if r2 <= rcut2 && r2 > 0.0 {
+                within.push((d, r2, qj));
+            }
+        };
+        // The receiver itself is visited too: its displacement is zero (or
+        // NaN), which the `r2 > 0` test rejects exactly as the linked-list
+        // kernel's explicit self check did.
+        let ci = cell_of[i];
         for &cell in &visit_arena[visit_offs[ci]..visit_offs[ci + 1]] {
-            let mut j = head[cell];
-            while j != usize::MAX {
-                if j != i {
-                    let d = bbox.min_image(pi, all_pos[j]);
-                    let r2 = d.norm2();
-                    if r2 <= rcut2 && r2 > 0.0 {
-                        let r = r2.sqrt();
-                        let inv_r = 1.0 / r;
-                        let inv_r2 = inv_r * inv_r;
-                        let qj = all_charge[j];
-                        let e = erfc(alpha * r) * inv_r;
-                        let de = (e + alpha * M_2_SQRTPI * (-alpha * alpha * r2).exp()) * inv_r2;
-                        potential[i] += qj * e;
-                        field[i] += d * (qj * de);
-                        if let Some((eps_qi, sigma)) = inv_qi {
-                            // Pair repulsion folded into the potential/field
-                            // channels (divided by the receiving charge so
-                            // 0.5*q*phi and q*E give pair energy and force).
-                            let s2 = (sigma * inv_r) * (sigma * inv_r);
-                            let s6 = s2 * s2 * s2;
-                            let u = eps_qi * s6 * s6;
-                            potential[i] += u;
-                            field[i] += d * (12.0 * u * inv_r2);
+            for ch in &chunks[chunk_off[cell]..chunk_off[cell + 1]] {
+                let slots = ch.start..ch.end;
+                match images.shift(pi, ch) {
+                    Some((t, gap2)) => {
+                        if gap2 > rcut2 {
+                            continue;
                         }
-                        pairs += 1;
+                        for (pj, &qj) in pos[slots.clone()].iter().zip(&charge[slots]) {
+                            keep((pi - *pj) + t, qj);
+                        }
+                    }
+                    None => {
+                        for (pj, &qj) in pos[slots.clone()].iter().zip(&charge[slots]) {
+                            keep(bbox.min_image(pi, *pj), qj);
+                        }
                     }
                 }
-                j = next[j];
             }
         }
+        let mut pot_i = 0.0;
+        let mut field_i = Vec3::ZERO;
+        for &(d, r2, qj) in &within {
+            let r = r2.sqrt();
+            let inv_r = 1.0 / r;
+            let inv_r2 = inv_r * inv_r;
+            let e = erfc(alpha * r) * inv_r;
+            let de = (e + alpha * M_2_SQRTPI * (-alpha * alpha * r2).exp()) * inv_r2;
+            pot_i += qj * e;
+            field_i += d * (qj * de);
+            if let Some((eps_qi, sigma)) = inv_qi {
+                // Pair repulsion folded into the potential/field channels
+                // (divided by the receiving charge so 0.5*q*phi and q*E give
+                // pair energy and force).
+                let s2 = (sigma * inv_r) * (sigma * inv_r);
+                let s6 = s2 * s2 * s2;
+                let u = eps_qi * s6 * s6;
+                pot_i += u;
+                field_i += d * (12.0 * u * inv_r2);
+            }
+        }
+        pairs += within.len() as u64;
+        potential[i] = pot_i;
+        field[i] = field_i;
     }
     (potential, field, pairs)
+}
+
+/// Consecutive cell slots per [`Chunk`]: the unit of the receiver-side
+/// image classification and skip test.
+const CHUNK: usize = 8;
+
+/// A run of consecutive slots of one cell with the bounds of their raw
+/// (unwrapped, as passed in) positions.
+struct Chunk {
+    start: usize,
+    end: usize,
+    lo: Vec3,
+    hi: Vec3,
+}
+
+/// One axis of [`SystemBox::min_image`], as [`Images::shift`] sees it.
+#[derive(Clone, Copy)]
+enum Axis {
+    /// Non-periodic: the displacement is used as is.
+    Open,
+    /// Periodic with finite length `l`; the band edges `0.49 l`, `0.51 l`
+    /// and `1.49 l` exactly as `min_image` computes them.
+    Periodic { l: f64, near: f64, mid_lo: f64, mid_hi: f64 },
+    /// Periodic with an infinite or NaN length: never classified.
+    Unbounded,
+}
+
+/// The three axes of the box, for chunk-wise image classification.
+struct Images([Axis; 3]);
+
+impl Images {
+    fn new(bbox: &SystemBox) -> Images {
+        Images(std::array::from_fn(|d| {
+            let l = bbox.lengths[d];
+            if !bbox.periodic[d] {
+                Axis::Open
+            } else if l < f64::INFINITY {
+                Axis::Periodic { l, near: 0.49 * l, mid_lo: 0.51 * l, mid_hi: 1.49 * l }
+            } else {
+                Axis::Unbounded
+            }
+        }))
+    }
+
+    /// The image shift `t` for which `(pi - pj) + t` is bitwise
+    /// `min_image(pi, pj)` for *every* `pj` in the chunk, plus a lower bound
+    /// of the squared distance over the chunk; `None` when some axis's
+    /// minimum-image band is not the same for the whole chunk.
+    ///
+    /// Rounding is monotone, so `fl(pi - pj)` lies in `[fl(pi - hi),
+    /// fl(pi - lo)]`. When that interval sits strictly inside one band of
+    /// [`SystemBox::min_image`] — `|d| < 0.49 L` (shift `+0.0`), `0.51 L < d
+    /// < 1.49 L` (shift `-L`) or its mirror (shift `+L`) — the fast path of
+    /// `min_image` takes that branch for every member. A non-periodic axis
+    /// adds `-0.0`, which leaves every value unchanged. The bound is the
+    /// shifted interval's distance from zero, squared and summed in
+    /// `norm2`'s order, so `bound > rcut²` implies `r2 > rcut²` for every
+    /// member exactly, with no margin.
+    #[inline]
+    fn shift(&self, pi: Vec3, ch: &Chunk) -> Option<(Vec3, f64)> {
+        let mut t = Vec3::ZERO;
+        let mut gap = Vec3::ZERO;
+        for d in 0..3 {
+            let dlo = pi[d] - ch.hi[d];
+            let dhi = pi[d] - ch.lo[d];
+            t[d] = match self.0[d] {
+                Axis::Open => -0.0,
+                Axis::Periodic { l, near, mid_lo, mid_hi } => {
+                    if dlo > -near && dhi < near {
+                        0.0
+                    } else if dlo > mid_lo && dhi < mid_hi {
+                        -l
+                    } else if dlo > -mid_hi && dhi < -mid_lo {
+                        l
+                    } else {
+                        return None;
+                    }
+                }
+                Axis::Unbounded => return None,
+            };
+            gap[d] = (dlo + t[d]).max(-(dhi + t[d])).max(0.0);
+        }
+        Some((t, gap.norm2()))
+    }
 }
 
 #[cfg(test)]
